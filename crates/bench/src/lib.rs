@@ -8,7 +8,7 @@
 //! | `fp57` | E1 — §5 in-text result on the Fréville–Plateau suite |
 //! | `table1` | E2 — Table 1 (Glover–Kochenberger suite) |
 //! | `table2` | E3 — Table 2 (SEQ / ITS / CTS1 / CTS2 at equal budget) |
-//! | `table3_async` | E4 — §6 asynchronous extension vs CTS2 |
+//! | `table3_async` | E4 — search-space decomposition (DTS) vs CTS2 |
 //! | `ablation_tenure` | A1 — tenure sensitivity & tabu-memory variants |
 //! | `ablation_drop` | A2 — `nb_drop` vs solution distance |
 //! | `ablation_alpha` | A3 — ISP α sweep (macro intensify/diversify) |

@@ -67,8 +67,8 @@ USAGE:
   mkp generate <out.mkp> [--class gk|cb|uniform|large] [--n N] [--m M]
                [--tightness T] [--correlation C] [--seed S]
   mkp stats    <instance.mkp>
-  mkp solve    <instance.mkp> [--mode seq|its|cts1|cts2|ats|dts]
-               [--policy core|repair]
+  mkp solve    <instance.mkp>
+               [--mode seq|its|cts1|cts2|ats|dts|core|repair]
                [--p P] [--rounds R] [--budget EVALS] [--seed S]
                [--relink true|false] [--timeout SECS] [--patience SECS]
                [--restarts N] [--backoff MS]
@@ -83,7 +83,7 @@ USAGE:
                [--max-jobs N] [--park-mem BYTES] [--spool DIR]
                [--state-dir DIR] [--patience SECS]
   mkp submit   <instance.mkp> --connect unix:PATH|tcp:HOST:PORT
-               [--mode seq|its|cts1|cts2|ats|dts] [--policy core|repair]
+               [--mode seq|its|cts1|cts2|ats|dts|core|repair]
                [--p P] [--rounds R]
                [--budget EVALS] [--seed S] [--deadline-ms MS]
                [--attach JOB_ID] [--patience SECS]
@@ -91,12 +91,14 @@ USAGE:
   mkp validate-metrics <metrics.json>
   mkp help
 
---policy core runs CTS2 inside an LP-reduced-cost *promising core* (the
+--mode ats is CTS2 under the label of the paper's asynchronous extension
+(§6, not implemented) and returns CTS2's results bit for bit. --mode core
+runs CTS2 inside an LP-reduced-cost *promising core* (the
 confidently-decided variables are fixed and periodically re-identified
-from the incumbent); --policy repair runs independent randomized
+from the incumbent); --mode repair runs independent randomized
 greedy-construction + feasibility-repair restarts. Both are full engine
 citizens: checkpoint/resume, --fault, --listen and --metrics work
-unchanged. --policy and --mode are mutually exclusive. --class large
+unchanged. --class large
 generates the very-large benchmark class the policies target (--n in the
 thousands, --m in the hundreds, --correlation tuning the profit–weight
 coupling).
@@ -109,7 +111,7 @@ listing the losses, and exits with code 2 so scripts can tell a degraded
 run from a clean one.
 
 --checkpoint FILE writes the complete master state to FILE every
---checkpoint-every K rounds (synchronous modes only); --resume FILE
+--checkpoint-every K rounds (multi-round modes only); --resume FILE
 continues such a snapshot — with the same instance and flags — to a result
 bit-identical to the uninterrupted run.
 
@@ -265,44 +267,19 @@ fn parse_mode(raw: &str) -> Result<Mode, CliError> {
         "cts2" => Mode::CooperativeAdaptive,
         "ats" => Mode::Asynchronous,
         "dts" => Mode::Decomposed,
-        "core" | "repair" => {
-            return Err(CliError::Invalid(format!(
-                "{raw:?} is a search-space policy, not a paper mode; use --policy {raw}"
-            )))
-        }
-        other => {
-            return Err(CliError::Invalid(format!(
-                "unknown mode {other:?} (use seq, its, cts1, cts2, ats or dts)"
-            )))
-        }
-    })
-}
-
-/// Parse a `--policy` name (the promising-search-space policies layered on
-/// top of the paper's modes).
-fn parse_policy(raw: &str) -> Result<Mode, CliError> {
-    Ok(match raw {
         "core" => Mode::Core,
         "repair" => Mode::Repair,
         other => {
             return Err(CliError::Invalid(format!(
-                "unknown policy {other:?} (use core or repair)"
+                "unknown mode {other:?} (use seq, its, cts1, cts2, ats, dts, core or repair)"
             )))
         }
     })
 }
 
-/// Resolve `--mode`/`--policy` into one [`Mode`]. The two flags select from
-/// the same engine dispatch, so giving both is ambiguous and rejected.
+/// The `--mode` flag, CTS2 when absent.
 fn resolve_mode(args: &Args) -> Result<Mode, CliError> {
-    match (args.get_str("mode"), args.get_str("policy")) {
-        (Some(mode), Some(policy)) => Err(CliError::Invalid(format!(
-            "--mode {mode} and --policy {policy} both pick the search organization; \
-             give exactly one"
-        ))),
-        (None, Some(policy)) => parse_policy(policy),
-        (mode, None) => parse_mode(mode.unwrap_or("cts2")),
-    }
+    parse_mode(args.get_str("mode").unwrap_or("cts2"))
 }
 
 /// Longest accepted `--fault` delay: a delay past the largest plausible
@@ -877,7 +854,6 @@ mod tests {
     const GEN_FLAGS: &[&str] = &["class", "n", "m", "tightness", "correlation", "seed"];
     const SOLVE_FLAGS: &[&str] = &[
         "mode",
-        "policy",
         "p",
         "rounds",
         "budget",
@@ -914,7 +890,6 @@ mod tests {
     const SUBMIT_FLAGS: &[&str] = &[
         "connect",
         "mode",
-        "policy",
         "p",
         "rounds",
         "budget",
@@ -1160,72 +1135,34 @@ mod tests {
     }
 
     #[test]
-    fn policy_flag_selects_the_new_policies() {
+    fn mode_flag_selects_the_search_space_policies() {
         let path = tmp("policy.mkp");
         cmd_generate(&args(
             &[&path, "--n", "30", "--m", "3", "--class", "uniform"],
             GEN_FLAGS,
         ))
         .unwrap();
-        for (policy, label) in [("core", "CORE"), ("repair", "REPAIR")] {
+        for (mode, label) in [("core", "CORE"), ("repair", "REPAIR")] {
             let out = cmd_solve(&args(
                 &[
-                    &path, "--policy", policy, "--budget", "60000", "--rounds", "2", "--p", "2",
+                    &path, "--mode", mode, "--budget", "60000", "--rounds", "2", "--p", "2",
                 ],
                 SOLVE_FLAGS,
             ))
             .unwrap();
             assert!(
                 out.contains(&format!("mode       : {label}")),
-                "--policy {policy}: {out}"
+                "--mode {mode}: {out}"
             );
-            assert!(out.contains("best value"), "--policy {policy}: {out}");
+            assert!(out.contains("best value"), "--mode {mode}: {out}");
         }
-    }
-
-    #[test]
-    fn solve_rejects_unknown_policy_with_a_specific_message() {
-        let path = tmp("policy_bad.mkp");
-        cmd_generate(&args(&[&path, "--n", "10", "--m", "2"], GEN_FLAGS)).unwrap();
-        let err = cmd_solve(&args(&[&path, "--policy", "lp"], SOLVE_FLAGS))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown policy \"lp\""), "{err}");
-        assert!(err.contains("use core or repair"), "{err}");
-    }
-
-    #[test]
-    fn policy_and_mode_are_mutually_exclusive() {
-        let path = tmp("policy_combo.mkp");
-        cmd_generate(&args(&[&path, "--n", "10", "--m", "2"], GEN_FLAGS)).unwrap();
-        let err = cmd_solve(&args(
-            &[&path, "--mode", "cts2", "--policy", "core"],
+        // The retired second selector is an unknown flag now.
+        let err = Args::parse(
+            [path.as_str(), "--policy", "core"].map(String::from),
             SOLVE_FLAGS,
-        ))
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("give exactly one"), "{err}");
-        // A policy name passed through --mode points at the right flag.
-        let err = cmd_solve(&args(&[&path, "--mode", "core"], SOLVE_FLAGS))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("use --policy core"), "{err}");
-        // submit resolves modes identically (before touching the network).
-        let err = cmd_submit(&args(
-            &[
-                &path,
-                "--connect",
-                "unix:/tmp/x.sock",
-                "--mode",
-                "its",
-                "--policy",
-                "repair",
-            ],
-            SUBMIT_FLAGS,
-        ))
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("give exactly one"), "{err}");
+        )
+        .unwrap_err();
+        assert!(matches!(err, ArgError::UnknownFlag { .. }), "{err}");
     }
 
     #[test]

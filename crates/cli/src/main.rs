@@ -39,7 +39,6 @@ fn main() -> ExitCode {
             rest,
             &[
                 "mode",
-                "policy",
                 "p",
                 "rounds",
                 "budget",
@@ -87,7 +86,6 @@ fn main() -> ExitCode {
             &[
                 "connect",
                 "mode",
-                "policy",
                 "p",
                 "rounds",
                 "budget",

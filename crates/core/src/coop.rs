@@ -5,23 +5,23 @@
 //! [`FarmPolicy`] implementation; they differ only in which of its switches
 //! are on:
 //!
-//! | mode | workers | rounds | ISP | SGP | delivery |
-//! |------|---------|--------|-----|-----|----------|
-//! | SEQ  | 1       | 1      |  —  |  —  | synchronous |
-//! | ITS  | P       | 1      |  —  |  —  | synchronous |
-//! | CTS1 | P       | R      |  ✓  |  —  | synchronous |
-//! | CTS2 | P       | R      |  ✓  |  ✓  | synchronous |
-//! | ATS  | P       | R      |  ✓  |  ✓  | pipelined |
+//! | mode | workers | rounds | ISP | SGP |
+//! |------|---------|--------|-----|-----|
+//! | SEQ  | 1       | 1      |  —  |  —  |
+//! | ITS  | P       | 1      |  —  |  —  |
+//! | CTS1 | P       | R      |  ✓  |  —  |
+//! | CTS2 | P       | R      |  ✓  |  ✓  |
+//! | ATS  | P       | R      |  ✓  |  ✓  |
 //!
 //! CTS2 is the paper's contribution: cooperation (the master's initial
 //! solution procedure, ISP) *plus* dynamic strategy tuning (the strategy
-//! generation procedure, SGP). ATS is the §6 future-work extension —
-//! the same cooperation without the round rendezvous (see
-//! [`Delivery::Pipelined`](crate::engine::Delivery)). The round loop itself
-//! lives in [`crate::engine`]; this module only decides what to assign and
-//! how to digest reports.
+//! generation procedure, SGP). ATS keeps the label of the paper's §6
+//! asynchronous extension, which is not implemented: it runs CTS2's
+//! switches on the same synchronous round loop, so its results are
+//! CTS2's bit for bit. The round loop itself lives in [`crate::engine`];
+//! this module only decides what to assign and how to digest reports.
 
-use crate::engine::{assignment_seed, CoopPolicy, Delivery};
+use crate::engine::{assignment_seed, CoopPolicy};
 use crate::isp::IspState;
 use crate::messages::{pack_bits, unpack_bits, AssignMsg, ReportMsg};
 use crate::runner::{Mode, RunConfig};
@@ -44,8 +44,6 @@ pub struct FarmPolicy {
     one_round: bool,
     /// Drive a single worker regardless of `cfg.p` (SEQ).
     solo: bool,
-    /// Pipelined report delivery (ATS).
-    pipelined: bool,
 
     // Master data structure, one entry per slave (Fig. 2).
     strategies: Vec<Strategy>,
@@ -67,7 +65,6 @@ impl FarmPolicy {
             adaptive: false,
             one_round: false,
             solo: false,
-            pipelined: false,
             strategies: Vec::new(),
             initials: Vec::new(),
             scores: Vec::new(),
@@ -111,12 +108,11 @@ impl FarmPolicy {
         }
     }
 
-    /// ATS — CTS2's cooperation without the rendezvous: pipelined delivery.
+    /// ATS — CTS2's switches under the ATS label (see the module docs).
     pub fn asynchronous() -> Self {
         FarmPolicy {
             cooperate: true,
             adaptive: true,
-            pipelined: true,
             ..FarmPolicy::new(Mode::Asynchronous)
         }
     }
@@ -140,14 +136,6 @@ impl CoopPolicy for FarmPolicy {
             1
         } else {
             cfg.rounds
-        }
-    }
-
-    fn delivery(&self) -> Delivery {
-        if self.pipelined {
-            Delivery::Pipelined
-        } else {
-            Delivery::Synchronous
         }
     }
 
@@ -358,10 +346,20 @@ mod tests {
         let its = FarmPolicy::independent();
         assert_eq!(its.active_workers(&cfg), 3);
         assert_eq!(its.rounds(&cfg), 1);
+        let cts1 = FarmPolicy::cooperative();
+        assert!(cts1.cooperate && !cts1.adaptive);
         let cts2 = FarmPolicy::cooperative_adaptive();
         assert_eq!(cts2.rounds(&cfg), 3);
-        assert_eq!(cts2.delivery(), Delivery::Synchronous);
-        assert_eq!(FarmPolicy::asynchronous().delivery(), Delivery::Pipelined);
+        assert!(cts2.cooperate && cts2.adaptive);
+        // ATS is CTS2's switch set under its own label.
+        let ats = FarmPolicy::asynchronous();
+        assert_eq!(ats.mode(), Mode::Asynchronous);
+        assert_eq!(ats.active_workers(&cfg), cts2.active_workers(&cfg));
+        assert_eq!(ats.rounds(&cfg), cts2.rounds(&cfg));
+        assert_eq!(
+            (ats.cooperate, ats.adaptive, ats.one_round, ats.solo),
+            (cts2.cooperate, cts2.adaptive, cts2.one_round, cts2.solo)
+        );
     }
 
     #[test]

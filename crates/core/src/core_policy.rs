@@ -27,7 +27,7 @@
 //! resurrection and checkpoint/resume behave exactly as they do for CTS2.
 
 use crate::coop::FarmPolicy;
-use crate::engine::{CoopPolicy, Delivery};
+use crate::engine::CoopPolicy;
 use crate::messages::{pack_bits, unpack_bits, AssignMsg, CellMsg, ReportMsg};
 use crate::runner::{Mode, RunConfig};
 use mkp::restrict::Restriction;
@@ -158,10 +158,6 @@ impl CoopPolicy for CorePolicy {
 
     fn rounds(&self, cfg: &RunConfig) -> usize {
         self.inner.rounds(cfg)
-    }
-
-    fn delivery(&self) -> Delivery {
-        Delivery::Synchronous
     }
 
     fn relink(&self, cfg: &RunConfig) -> bool {

@@ -14,16 +14,11 @@
 //! mailboxes are rebuilt per run, the OS threads are not — see
 //! `pvm_lite::farm`).
 //!
-//! Report delivery comes in two flavours ([`Delivery`]):
-//!
-//! * **Synchronous** — the paper's rendezvous: the master gathers all P
-//!   reports of a round before updating anything.
-//! * **Pipelined** — the §6 asynchronous extension (ATS): no global
-//!   rendezvous; a worker's next assignment leaves as soon as the master
-//!   has processed that worker's report. Reports may *arrive* in any
-//!   order, but the master buffers them and *processes* them in logical
-//!   `(round, worker)` order, so the run is bit-deterministic while the
-//!   workers still overlap rounds freely.
+//! Every mode runs the same synchronous round: the paper's rendezvous
+//! (§4.2), where the master gathers all P reports of a round before
+//! updating anything and processes them in worker order, so each run is a
+//! deterministic function of its seed whatever order the reports arrive
+//! in.
 //!
 //! # Recovery (DESIGN.md §10)
 //!
@@ -54,19 +49,8 @@ use mkp_tabu::{search, Budget, TsConfig};
 use pvm_lite::{
     Collectives, CommError, FaultAction, FaultPlan, TaskOutcome, Transport, WorkerPool,
 };
-use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// How the master receives reports (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Gather all P reports per round before updating (SEQ/ITS/CTS/DTS).
-    Synchronous,
-    /// Process reports in logical order as they arrive; a worker's next
-    /// assignment leaves without waiting for its peers (ATS).
-    Pipelined,
-}
 
 /// The B in "B best solutions" (Fig. 2): how many distinct elite solutions
 /// the master banks for reseeding resurrected workers and checkpoints.
@@ -93,14 +77,8 @@ pub trait CoopPolicy: Send {
     /// Number of master rounds (SEQ/ITS/DTS fold everything into one).
     fn rounds(&self, cfg: &RunConfig) -> usize;
 
-    /// Report delivery scheme.
-    fn delivery(&self) -> Delivery {
-        Delivery::Synchronous
-    }
-
     /// Whether the master relinks the two best distinct slave solutions
-    /// after each synchronous rendezvous (ignored under pipelined
-    /// delivery, which has no rendezvous).
+    /// after each round's rendezvous.
     fn relink(&self, cfg: &RunConfig) -> bool {
         let _ = cfg;
         false
@@ -183,8 +161,8 @@ pub enum EngineError {
         message: String,
     },
     /// The request cannot be served as configured (invalid cross-field
-    /// configuration, checkpointing a mode that has no consistent round
-    /// boundary, resuming a snapshot that doesn't match the run).
+    /// configuration, checkpointing a policy that cannot snapshot its
+    /// state, resuming a snapshot that doesn't match the run).
     Unsupported {
         /// What was asked for and why it can't be done.
         detail: String,
@@ -252,7 +230,7 @@ enum TaskOut {
 pub(crate) struct MasterCtl {
     /// Park (snapshot and return) after this many newly executed rounds
     /// if the run has not finished first. `None` runs to completion.
-    /// Requires synchronous delivery and a snapshot-capable policy.
+    /// Requires a snapshot-capable policy.
     pub(crate) park_after: Option<usize>,
     /// Whether to fan out STOP (and notify orphans) on exit. In-process
     /// pools need it to fold the farm; the job server keeps its remote
@@ -439,13 +417,6 @@ impl Engine {
         if let Err(detail) = cfg.validate() {
             return Err(EngineError::Unsupported { detail });
         }
-        if cfg.checkpoint.is_some() && policy.delivery() == Delivery::Pipelined {
-            return Err(EngineError::Unsupported {
-                detail: "checkpointing requires synchronous delivery: the pipelined ATS \
-                         master has no consistent round boundary to snapshot"
-                    .to_string(),
-            });
-        }
         let active = policy.active_workers(cfg);
         assert!(active >= 1, "a run needs at least one active worker");
         self.ensure_capacity(active + 1);
@@ -575,9 +546,6 @@ pub(crate) fn validated_resume_policy(
     let policy = policy_for(snap.mode);
     let active = policy.active_workers(cfg);
     let rounds = policy.rounds(cfg);
-    if policy.delivery() == Delivery::Pipelined {
-        return reject("pipelined modes cannot be checkpointed or resumed".to_string());
-    }
     if snap.alive.len() != active
         || snap.epochs.len() != active
         || snap.restarts_used.len() != active
@@ -843,19 +811,12 @@ pub(crate) fn master_loop<C: Transport>(
     let active = policy.active_workers(cfg);
     let rounds = policy.rounds(cfg);
     assert!(active < ctx.ntasks(), "pool too small for {active} workers");
-    if let Some(park) = ctl.park_after {
-        // Checked before the broadcast: nothing is in flight yet, so the
-        // early return cannot strand a slave waiting for instructions.
-        if park == 0 {
-            return Err(EngineError::Unsupported {
-                detail: "park_after must be at least one round".to_string(),
-            });
-        }
-        if policy.delivery() == Delivery::Pipelined {
-            return Err(EngineError::Unsupported {
-                detail: "pipelined modes have no round boundary to park at".to_string(),
-            });
-        }
+    // Checked before the broadcast: nothing is in flight yet, so the early
+    // return cannot strand a slave waiting for instructions.
+    if ctl.park_after == Some(0) {
+        return Err(EngineError::Unsupported {
+            detail: "park_after must be at least one round".to_string(),
+        });
     }
 
     // "Read and send to slaves problem data" (Fig. 2) — a pvm_mcast. Idle
@@ -935,370 +896,129 @@ pub(crate) fn master_loop<C: Transport>(
     // a full patience window, wedging the pool. `Ok(Some(snap))` means the
     // slice parked at a round boundary instead of finishing.
     let mut run_rounds = || -> Result<Option<Box<Snapshot>>, EngineError> {
-        match policy.delivery() {
-            Delivery::Synchronous => {
-                for round in start_round..rounds {
-                    let _round_span = tel.span(0, SpanKind::Round);
-                    // Launch the surviving slave searches. The sent assignment
-                    // is kept per worker so a resurrection can redo it.
-                    let mut sent: Vec<Option<AssignMsg>> = vec![None; active];
-                    let mut send_failed = vec![false; active];
-                    {
-                        let _assign_span = tel.span(0, SpanKind::Assign);
-                        for k in 0..active {
-                            if !workers.alive[k] {
-                                continue;
-                            }
-                            let mut assign = policy.assign(k, round, inst, cfg, &mut rng);
-                            assign.epoch = workers.epochs[k];
-                            send_failed[k] = ctx.send(k + 1, tags::ASSIGN, &assign).is_err();
-                            if !send_failed[k] {
-                                tel.add(0, Counter::AssignMsgsSent, 1);
-                            }
-                            sent[k] = Some(assign);
-                        }
+        for round in start_round..rounds {
+            let _round_span = tel.span(0, SpanKind::Round);
+            // Launch the surviving slave searches. The sent assignment
+            // is kept per worker so a resurrection can redo it.
+            let mut sent: Vec<Option<AssignMsg>> = vec![None; active];
+            let mut send_failed = vec![false; active];
+            {
+                let _assign_span = tel.span(0, SpanKind::Assign);
+                for k in 0..active {
+                    if !workers.alive[k] {
+                        continue;
                     }
+                    let mut assign = policy.assign(k, round, inst, cfg, &mut rng);
+                    assign.epoch = workers.epochs[k];
+                    send_failed[k] = ctx.send(k + 1, tags::ASSIGN, &assign).is_err();
+                    if !send_failed[k] {
+                        tel.add(0, Counter::AssignMsgsSent, 1);
+                    }
+                    sent[k] = Some(assign);
+                }
+            }
 
-                    // Rendezvous: gather the survivors' reports (slaves finish
-                    // ≈ simultaneously because the eval budget, not
-                    // wall-clock, bounds each search). One deadline covers the
-                    // whole gather; a worker that misses it is resurrected
-                    // while its restart budget lasts, then quarantined. The
-                    // reports are processed in slave-id order below, so the
-                    // update is deterministic regardless of arrival order.
-                    let mut need: Vec<bool> = (0..active)
-                        .map(|k| workers.alive[k] && !send_failed[k])
-                        .collect();
-                    let mut reports = {
-                        let _gather_span = tel.span(0, SpanKind::Gather);
-                        gather_reports(ctx, &workers.epochs, cfg.report_timeout, &mut need, tel)?
-                    };
-                    for k in 0..active {
-                        if !workers.alive[k] {
-                            continue;
-                        }
-                        let missed = need[k] || send_failed[k];
-                        if !missed {
-                            continue;
-                        }
-                        let assign = sent[k].as_ref().expect("alive workers were assigned");
-                        match resurrect(
-                            ctx,
-                            &problem,
-                            &mut workers,
-                            cfg,
-                            k,
-                            round,
-                            assign,
-                            &state.elite,
-                            tel,
-                        )? {
-                            Some(report) => reports.push((k, report)),
-                            None => {
-                                let cause = if send_failed[k] {
-                                    LossCause::Unreachable
-                                } else {
-                                    LossCause::Deadline
-                                };
-                                if !workers.mark_lost(k, round, cause, tel) {
-                                    return Err(EngineError::AllWorkersLost {
-                                        losses: workers.losses.clone(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    reports.sort_by_key(|&(k, _)| k);
-                    for (k, report) in &reports {
-                        workers.bank_history(*k, report);
-                    }
-
-                    // Optional master-side exploitation: relink the two best
-                    // distinct slave solutions (information neither slave holds
-                    // alone).
-                    if policy.relink(cfg) {
-                        state.total_evals += relink_round(inst, &reports, &mut state.global_best)?;
-                    }
-
-                    for (k, report) in &reports {
-                        state
-                            .process_report(*k, round, report, policy, inst, cfg, &mut rng, tel)?;
-                    }
-                    let best = state
-                        .global_best
-                        .as_ref()
-                        .ok_or_else(|| EngineError::Internal {
-                            detail: "no global best after a processed round".into(),
-                        })?;
-                    state.round_best.push(best.value());
-
-                    // Periodic checkpoint: the state as of the top of
-                    // `round + 1`. The final round is never checkpointed —
-                    // the run is over.
-                    if let Some(cp) = &cfg.checkpoint {
-                        if (round + 1) % cp.every == 0 && round + 1 < rounds {
-                            let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
-                            let snap = build_snapshot(
-                                policy,
-                                inst,
-                                cfg,
-                                round + 1,
-                                &rng,
-                                &state,
-                                &workers,
-                            )?;
-                            let nbytes = snap.to_file_bytes().len() as u64;
-                            snap.save(&cp.path).map_err(|e| EngineError::Internal {
-                                detail: format!("checkpoint write failed: {e}"),
-                            })?;
-                            tel.add(0, Counter::CheckpointsWritten, 1);
-                            tel.add(0, Counter::CheckpointBytes, nbytes);
-                            tel.event(0, EventKind::Checkpoint, round + 1, nbytes as i64);
-                        }
-                    }
-
-                    // Quantum boundary: park once the slice's round budget
-                    // is spent and the run is not already over. The parked
-                    // snapshot is the identical artifact a periodic
-                    // checkpoint writes, so a resumed job continues
-                    // bit-identically to one that never parked.
-                    if let Some(park) = ctl.park_after {
-                        if round + 1 < rounds && round + 1 - start_round >= park {
-                            let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
-                            let snap = build_snapshot(
-                                policy,
-                                inst,
-                                cfg,
-                                round + 1,
-                                &rng,
-                                &state,
-                                &workers,
-                            )?;
-                            return Ok(Some(Box::new(snap)));
+            // Rendezvous: gather the survivors' reports (slaves finish
+            // ≈ simultaneously because the eval budget, not
+            // wall-clock, bounds each search). One deadline covers the
+            // whole gather; a worker that misses it is resurrected
+            // while its restart budget lasts, then quarantined. The
+            // reports are processed in slave-id order below, so the
+            // update is deterministic regardless of arrival order.
+            let mut need: Vec<bool> = (0..active)
+                .map(|k| workers.alive[k] && !send_failed[k])
+                .collect();
+            let mut reports = {
+                let _gather_span = tel.span(0, SpanKind::Gather);
+                gather_reports(ctx, &workers.epochs, cfg.report_timeout, &mut need, tel)?
+            };
+            for k in 0..active {
+                if !workers.alive[k] {
+                    continue;
+                }
+                let missed = need[k] || send_failed[k];
+                if !missed {
+                    continue;
+                }
+                let assign = sent[k].as_ref().expect("alive workers were assigned");
+                match resurrect(
+                    ctx,
+                    &problem,
+                    &mut workers,
+                    cfg,
+                    k,
+                    round,
+                    assign,
+                    &state.elite,
+                    tel,
+                )? {
+                    Some(report) => reports.push((k, report)),
+                    None => {
+                        let cause = if send_failed[k] {
+                            LossCause::Unreachable
+                        } else {
+                            LossCause::Deadline
+                        };
+                        if !workers.mark_lost(k, round, cause, tel) {
+                            return Err(EngineError::AllWorkersLost {
+                                losses: workers.losses.clone(),
+                            });
                         }
                     }
                 }
             }
-            Delivery::Pipelined => {
-                // Reports arrive in scheduler order; `arrived[k]` counts how
-                // many worker `k` has sent, which *is* the logical round of its
-                // next arrival (per-worker channels are FIFO). The buffer plus
-                // the (round, worker) cursor turn that arrival stream into a
-                // deterministic processing order — and each processed report
-                // immediately releases that worker's next assignment, so no
-                // worker ever waits for a rendezvous. `assigned[k]` counts
-                // assignments sent, so `assigned[k] > arrived[k]` means worker
-                // `k` owes a report — the workers a deadline expiry resurrects
-                // or quarantines.
-                let mut arrived = vec![0usize; active];
-                let mut assigned = vec![0usize; active];
-                let mut sent: Vec<Option<AssignMsg>> = vec![None; active];
-                // A rebirth in flight: (round it redoes, attempt); confirmed
-                // into a Resurrection record when the redo report arrives.
-                let mut rebirth: Vec<Option<(usize, usize)>> = vec![None; active];
-                let mut buffer: BTreeMap<(usize, usize), ReportMsg> = BTreeMap::new();
-                let mut cursor = (0usize, 0usize);
-                // The pipeline has no rendezvous, so one Round span covers the
-                // whole asynchronous run; Assign/Gather spans nest inside it.
-                let _round_span = tel.span(0, SpanKind::Round);
+            reports.sort_by_key(|&(k, _)| k);
+            for (k, report) in &reports {
+                workers.bank_history(*k, report);
+            }
 
-                // Bootstrap: every worker gets its round-0 assignment.
-                for k in 0..active {
-                    let _assign_span = tel.span(0, SpanKind::Assign);
-                    let mut assign = policy.assign(k, 0, inst, cfg, &mut rng);
-                    assign.epoch = workers.epochs[k];
-                    let ok = ctx.send(k + 1, tags::ASSIGN, &assign).is_ok();
-                    sent[k] = Some(assign);
-                    if ok {
-                        assigned[k] = 1;
-                        tel.add(0, Counter::AssignMsgsSent, 1);
-                    } else if !workers.mark_lost(k, 0, LossCause::Unreachable, tel) {
-                        return Err(EngineError::AllWorkersLost {
-                            losses: workers.losses.clone(),
-                        });
-                    }
+            // Optional master-side exploitation: relink the two best
+            // distinct slave solutions (information neither slave holds
+            // alone).
+            if policy.relink(cfg) {
+                state.total_evals += relink_round(inst, &reports, &mut state.global_best)?;
+            }
+
+            for (k, report) in &reports {
+                state.process_report(*k, round, report, policy, inst, cfg, &mut rng, tel)?;
+            }
+            let best = state
+                .global_best
+                .as_ref()
+                .ok_or_else(|| EngineError::Internal {
+                    detail: "no global best after a processed round".into(),
+                })?;
+            state.round_best.push(best.value());
+
+            // Periodic checkpoint: the state as of the top of
+            // `round + 1`. The final round is never checkpointed —
+            // the run is over.
+            if let Some(cp) = &cfg.checkpoint {
+                if (round + 1) % cp.every == 0 && round + 1 < rounds {
+                    let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
+                    let snap =
+                        build_snapshot(policy, inst, cfg, round + 1, &rng, &state, &workers)?;
+                    let nbytes = snap.to_file_bytes().len() as u64;
+                    snap.save(&cp.path).map_err(|e| EngineError::Internal {
+                        detail: format!("checkpoint write failed: {e}"),
+                    })?;
+                    tel.add(0, Counter::CheckpointsWritten, 1);
+                    tel.add(0, Counter::CheckpointBytes, nbytes);
+                    tel.event(0, EventKind::Checkpoint, round + 1, nbytes as i64);
                 }
+            }
 
-                'outer: loop {
-                    // Drain: process buffered reports in logical order. A
-                    // quarantined worker's never-coming report is skipped so
-                    // the cursor keeps rotating over the survivors; a live
-                    // worker's missing report sends us to the wait below.
-                    loop {
-                        let (round, k) = cursor;
-                        if round >= rounds {
-                            break 'outer;
-                        }
-                        if let Some(report) = buffer.remove(&cursor) {
-                            state.process_report(
-                                k, round, &report, policy, inst, cfg, &mut rng, tel,
-                            )?;
-                            if round + 1 < rounds && workers.alive[k] {
-                                let _assign_span = tel.span(0, SpanKind::Assign);
-                                let mut assign = policy.assign(k, round + 1, inst, cfg, &mut rng);
-                                assign.epoch = workers.epochs[k];
-                                let ok = ctx.send(k + 1, tags::ASSIGN, &assign).is_ok();
-                                sent[k] = Some(assign);
-                                if ok {
-                                    assigned[k] += 1;
-                                    tel.add(0, Counter::AssignMsgsSent, 1);
-                                } else if !workers.mark_lost(
-                                    k,
-                                    round + 1,
-                                    LossCause::Unreachable,
-                                    tel,
-                                ) {
-                                    return Err(EngineError::AllWorkersLost {
-                                        losses: workers.losses.clone(),
-                                    });
-                                }
-                            }
-                        } else if workers.alive[k] {
-                            break; // report still in flight: wait for it
-                        }
-                        cursor = if k + 1 < active {
-                            (round, k + 1)
-                        } else {
-                            let best = state.global_best.as_ref().ok_or_else(|| {
-                                EngineError::Internal {
-                                    detail: "no global best after a processed round".into(),
-                                }
-                            })?;
-                            state.round_best.push(best.value());
-                            (round + 1, 0)
-                        };
-                    }
-
-                    // Wait for one more report under a single deadline (the
-                    // timeout budget is per expected report, not per arrival —
-                    // stale stragglers burning the clock don't extend it).
-                    let deadline = Instant::now().checked_add(cfg.report_timeout);
-                    let gather_span = tel.span(0, SpanKind::Gather);
-                    let deadline_expired = loop {
-                        let remaining = match deadline {
-                            None => Duration::MAX,
-                            Some(deadline) => {
-                                let now = Instant::now();
-                                if now >= deadline {
-                                    break true;
-                                }
-                                deadline - now
-                            }
-                        };
-                        match ctx.recv_timeout(remaining) {
-                            Ok(env) => {
-                                let Some(k) = env.from.checked_sub(1).filter(|&k| k < active)
-                                else {
-                                    return Err(EngineError::ProtocolViolation {
-                                        detail: format!(
-                                            "report from out-of-range task {}",
-                                            env.from
-                                        ),
-                                    });
-                                };
-                                if !workers.alive[k] {
-                                    tel.add(0, Counter::StaleIgnored, 1);
-                                    continue; // stale report from a quarantined worker
-                                }
-                                if env.tag != tags::REPORT {
-                                    return Err(EngineError::ProtocolViolation {
-                                        detail: format!(
-                                            "unexpected tag {} from task {} (expected {})",
-                                            env.tag,
-                                            env.from,
-                                            tags::REPORT
-                                        ),
-                                    });
-                                }
-                                let report: ReportMsg =
-                                    env.decode().map_err(|e| EngineError::ProtocolViolation {
-                                        detail: format!(
-                                            "undecodable report from task {}: {e:?}",
-                                            env.from
-                                        ),
-                                    })?;
-                                if report.epoch != workers.epochs[k] {
-                                    tel.add(0, Counter::EpochsDropped, 1);
-                                    continue; // a superseded incarnation's report
-                                }
-                                if let Some((round, attempt)) = rebirth[k].take() {
-                                    workers.resurrections.push(Resurrection {
-                                        worker: k,
-                                        round,
-                                        attempt,
-                                    });
-                                    tel.event(0, EventKind::Resurrection, round, k as i64);
-                                }
-                                workers.bank_history(k, &report);
-                                tel.add(0, Counter::ReportsReceived, 1);
-                                buffer.insert((arrived[k], k), report);
-                                arrived[k] += 1;
-                                break false;
-                            }
-                            Err(CommError::Timeout) => break true,
-                            Err(_) => break true, // every sender gone: nothing will arrive
-                        }
-                    };
-                    drop(gather_span);
-                    // The deadline expired: every live worker still owing a
-                    // report is out of time. While a worker's restart budget
-                    // lasts the master respawns it and re-sends the
-                    // outstanding assignment (one attempt per expiry); past
-                    // the budget it is quarantined. Each expiry thus either
-                    // consumes a restart credit or quarantines a worker, and
-                    // both are finite — the loop terminates.
-                    if deadline_expired {
-                        for k in 0..active {
-                            if !workers.alive[k] || assigned[k] <= arrived[k] {
-                                continue;
-                            }
-                            let round = arrived[k];
-                            if workers.restarts_used[k] < cfg.max_restarts {
-                                std::thread::sleep(backoff_delay(cfg, workers.restarts_used[k]));
-                                workers.restarts_used[k] += 1;
-                                tel.add(0, Counter::Restarts, 1);
-                                let attempt = workers.restarts_used[k];
-                                workers.epochs[k] += 1;
-                                rebirth[k] = None;
-                                if ctx.respawn(k + 1) {
-                                    let mut redo = sent[k]
-                                        .clone()
-                                        .expect("an owed report implies a stored assignment");
-                                    redo.epoch = workers.epochs[k];
-                                    if !state.elite.is_empty() && redo.cell.is_none() {
-                                        redo.initial = state.elite
-                                            [(attempt - 1) % state.elite.len()]
-                                        .bits()
-                                        .clone();
-                                    }
-                                    let mut ok = ctx.send(k + 1, tags::PROBLEM, &problem).is_ok();
-                                    if ok {
-                                        tel.add(0, Counter::ProblemMsgsSent, 1);
-                                        ok = ctx
-                                            .send(k + 1, tags::SEED, &workers.histories[k])
-                                            .is_ok();
-                                    }
-                                    if ok {
-                                        tel.add(0, Counter::SeedMsgsSent, 1);
-                                        ok = ctx.send(k + 1, tags::ASSIGN, &redo).is_ok();
-                                    }
-                                    if ok {
-                                        tel.add(0, Counter::AssignMsgsSent, 1);
-                                        rebirth[k] = Some((round, attempt));
-                                    }
-                                }
-                                // Whether or not the rebirth took, the worker
-                                // still owes its report; the next deadline
-                                // window decides.
-                                continue;
-                            }
-                            if !workers.mark_lost(k, round, LossCause::Deadline, tel) {
-                                return Err(EngineError::AllWorkersLost {
-                                    losses: workers.losses.clone(),
-                                });
-                            }
-                        }
-                    }
+            // Quantum boundary: park once the slice's round budget
+            // is spent and the run is not already over. The parked
+            // snapshot is the identical artifact a periodic
+            // checkpoint writes, so a resumed job continues
+            // bit-identically to one that never parked.
+            if let Some(park) = ctl.park_after {
+                if round + 1 < rounds && round + 1 - start_round >= park {
+                    let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
+                    let snap =
+                        build_snapshot(policy, inst, cfg, round + 1, &rng, &state, &workers)?;
+                    return Ok(Some(Box::new(snap)));
                 }
             }
         }
@@ -1408,10 +1128,8 @@ impl MasterState {
     }
 
     /// Fold one report: counters, global best, elite, then the policy's
-    /// update. Shared by both delivery schemes so their master updates are
-    /// identical given identical processing order. A report whose claimed
-    /// value doesn't survive re-evaluation is a protocol violation, not a
-    /// panic.
+    /// update. A report whose claimed value doesn't survive re-evaluation
+    /// is a protocol violation, not a panic.
     #[allow(clippy::too_many_arguments)] // internal fold step
     fn process_report(
         &mut self,
@@ -1820,18 +1538,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_delivery_is_deterministic() {
-        let inst = inst();
-        let cfg = cfg();
-        let mut engine = Engine::new(3);
-        let a = engine.run(&inst, Mode::Asynchronous, &cfg).unwrap();
-        let b = engine.run(&inst, Mode::Asynchronous, &cfg).unwrap();
-        assert_eq!(a.best.value(), b.best.value());
-        assert_eq!(a.round_best, b.round_best);
-        assert_eq!(a.round_best.len(), cfg.rounds);
-    }
-
-    #[test]
     fn assignment_seeds_are_decorrelated() {
         let cfg = cfg();
         let mut seen = std::collections::HashSet::new();
@@ -1843,19 +1549,30 @@ mod tests {
     }
 
     #[test]
-    fn checkpointing_a_pipelined_mode_is_rejected_up_front() {
+    fn checkpointing_the_asynchronous_mode_resumes_bit_identically() {
+        let dir = std::env::temp_dir().join(format!("mkp-ats-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ats.snap");
         let inst = inst();
         let mut engine = Engine::new(3);
+        let plain = engine.run(&inst, Mode::Asynchronous, &cfg()).unwrap();
         let mut cfg = cfg();
         cfg.checkpoint = Some(CheckpointCfg {
-            path: std::env::temp_dir().join("ats-reject.snap"),
+            path: path.clone(),
             every: 1,
         });
-        let err = engine.run(&inst, Mode::Asynchronous, &cfg).unwrap_err();
-        assert!(
-            matches!(err, EngineError::Unsupported { .. }),
-            "expected Unsupported, got {err:?}"
-        );
+        let full = engine.run(&inst, Mode::Asynchronous, &cfg).unwrap();
+        assert_eq!(full.best.bits(), plain.best.bits());
+        assert_eq!(full.round_best, plain.round_best);
+
+        let snap = Snapshot::load(&path).unwrap();
+        assert_eq!(snap.mode, Mode::Asynchronous);
+        assert_eq!(snap.next_round, cfg.rounds - 1);
+        let resumed = engine.resume(&inst, snap, &cfg).unwrap();
+        assert_eq!(resumed.best.bits(), full.best.bits());
+        assert_eq!(resumed.round_best, full.round_best);
+        assert_eq!(resumed.total_evals, full.total_evals);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

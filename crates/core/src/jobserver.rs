@@ -16,8 +16,8 @@
 //! snapshot. Because a parked snapshot is bit-identical to a periodic
 //! checkpoint, a job sliced into N quanta produces *exactly* the report
 //! an uninterrupted run would (asserted by `tests/jobserver.rs`). Modes
-//! without a round boundary to park at (pipelined ATS, or SEQ/ITS/DTS
-//! which fold into one round) run their whole budget in a single turn.
+//! without a round boundary to park at (SEQ/ITS/DTS, which fold into one
+//! round) run their whole budget in a single turn.
 //!
 //! Parked snapshots are held in memory as their serialized file bytes;
 //! when the total exceeds [`ServeConfig::park_mem_cap`], the snapshots
@@ -61,8 +61,7 @@
 //! every job parked durably and releases the slaves with one STOP.
 
 use crate::engine::{
-    master_loop, policy_for, validated_resume_policy, Delivery, Engine, EngineError, MasterCtl,
-    SliceOutcome,
+    master_loop, policy_for, validated_resume_policy, Engine, EngineError, MasterCtl, SliceOutcome,
 };
 use crate::journal::{Journal, Record};
 use crate::messages::{pack_bits, tags, unpack_bits, ProblemMsg};
@@ -411,9 +410,9 @@ pub enum ServeBackend {
 /// patience.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Master rounds a job runs per turn before parking. Jobs without a
-    /// round boundary (pipelined delivery, single-round modes) run their
-    /// whole budget in one turn regardless.
+    /// Master rounds a job runs per turn before parking. Single-round
+    /// modes have no round boundary and run their whole budget in one turn
+    /// regardless.
     pub quantum: usize,
     /// Cap on accepted-but-unfinished jobs across all clients.
     pub max_queue: usize,
@@ -1493,8 +1492,7 @@ fn build_job(id: u64, client: u64, serve_cfg: &ServeConfig, msg: SubmitMsg) -> J
         rounds: msg.rounds as usize,
         ..RunConfig::new(msg.budget_evals, msg.seed)
     };
-    let policy = policy_for(mode);
-    let parkable = policy.delivery() == Delivery::Synchronous && policy.rounds(&cfg) > 1;
+    let parkable = policy_for(mode).rounds(&cfg) > 1;
     let deadline =
         (msg.deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(msg.deadline_ms));
     Job {

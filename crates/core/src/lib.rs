@@ -19,7 +19,7 @@
 //! | [`Mode::Independent`] | P independent TS threads (ITS) |
 //! | [`Mode::Cooperative`] | cooperation via the master's ISP, fixed strategies (CTS1) |
 //! | [`Mode::CooperativeAdaptive`] | cooperation + dynamic strategy tuning (CTS2) |
-//! | [`Mode::Asynchronous`] | rendezvous-free pipelined cooperation (ATS, §6) |
+//! | [`Mode::Asynchronous`] | CTS2 under the ATS label; the §6 asynchronous scheme is not implemented (ATS) |
 //! | [`Mode::Decomposed`] | search-space decomposition over critical variables (DTS, §2 taxonomy) |
 //! | [`Mode::Core`] | CTS2 inside an LP-reduced-cost promising core (CORE) |
 //! | [`Mode::Repair`] | randomized greedy construction + repair restarts (REPAIR) |
@@ -52,7 +52,7 @@ pub mod sgp;
 pub mod snapshot;
 pub mod telemetry;
 
-pub use engine::{fault_at_round, CoopPolicy, Delivery, Engine, EngineError, SliceOutcome};
+pub use engine::{fault_at_round, CoopPolicy, Engine, EngineError, SliceOutcome};
 pub use isp::{IspConfig, StartKind};
 pub use jobserver::{
     attach_job, serve, submit_job, JobReport, ServeBackend, ServeConfig, ServeStats, SubmitEvent,

@@ -18,7 +18,7 @@
 //!   best. That makes REPAIR the randomized-restart control against which
 //!   the cooperative modes are measured on the very-large suite.
 
-use crate::engine::{assignment_seed, CoopPolicy, Delivery};
+use crate::engine::{assignment_seed, CoopPolicy};
 use crate::messages::{pack_bits, unpack_bits, AssignMsg, ReportMsg};
 use crate::runner::{Mode, RunConfig};
 use mkp::eval::Ratios;
@@ -82,10 +82,6 @@ impl CoopPolicy for RepairPolicy {
 
     fn rounds(&self, cfg: &RunConfig) -> usize {
         cfg.rounds
-    }
-
-    fn delivery(&self) -> Delivery {
-        Delivery::Synchronous
     }
 
     fn relink(&self, cfg: &RunConfig) -> bool {

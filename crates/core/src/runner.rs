@@ -28,9 +28,10 @@ pub enum Mode {
     Cooperative,
     /// CTS2 — cooperation plus dynamic strategy tuning (ISP + SGP).
     CooperativeAdaptive,
-    /// ATS — rendezvous-free cooperation (the §6 extension): reports are
-    /// delivered pipelined, each worker's next assignment leaving as soon
-    /// as its report is processed, in a deterministic logical order.
+    /// ATS — the label of the paper's §6 asynchronous extension, which is
+    /// not implemented: ATS runs CTS2's policy on the same synchronous
+    /// round loop and returns CTS2's results bit for bit. The variant
+    /// stays because wire codes, journals and snapshots name it.
     Asynchronous,
     /// DTS — search-space decomposition over critical variables (the §2
     /// taxonomy's third parallelism source, implemented as an extension).

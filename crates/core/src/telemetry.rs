@@ -177,8 +177,7 @@ impl Counter {
 /// Timed regions. Like counters, the declaration order is canonical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
-    /// One master round (synchronous: per rendezvous; pipelined: the
-    /// whole report-driven loop, since it has no round boundary).
+    /// One master round: assign, rendezvous, update.
     Round,
     /// Master waiting on / draining worker reports.
     Gather,

@@ -5,7 +5,7 @@
 use mkp::generate::{gk_instance, GkSpec};
 use mkp::Instance;
 use parallel_tabu::{
-    attach_job, run_mode, serve, submit_job, Mode, ModeReport, RunConfig, ServeBackend,
+    attach_job, run_mode, serve, submit_job, Engine, Mode, ModeReport, RunConfig, ServeBackend,
     ServeConfig, SubmitEvent, SubmitOutcome, SubmitSpec,
 };
 use pvm_lite::Endpoint;
@@ -168,6 +168,55 @@ fn interleaved_jobs_are_bit_identical_to_solo_runs() {
     assert_eq!(stats.restores, stats.evictions);
     let leftovers: Vec<_> = std::fs::read_dir(dir.join("spool")).unwrap().collect();
     assert!(leftovers.is_empty(), "spool must be drained: {leftovers:?}");
+}
+
+#[test]
+fn asynchronous_jobs_are_sliced_and_match_a_solo_run() {
+    // ATS runs on the synchronous round loop, so the scheduler parks it
+    // at every round boundary like any other multi-round mode.
+    let dir = tmp_dir("ats-slices");
+    let ep = endpoint(&dir, "clients.sock");
+    let inst = instance(33);
+    let spec = SubmitSpec {
+        mode: Mode::Asynchronous,
+        p: 3,
+        rounds: 4,
+        budget_evals: 60_000,
+        seed: 19,
+        deadline: None,
+    };
+    let cfg = RunConfig {
+        p: spec.p,
+        rounds: spec.rounds,
+        ..RunConfig::new(spec.budget_evals, spec.seed)
+    };
+    let solo = Engine::new(spec.p)
+        .run(&inst, Mode::Asynchronous, &cfg)
+        .unwrap();
+
+    let server = {
+        let ep = ep.clone();
+        let cfg = ServeConfig {
+            quantum: 1,
+            spool_dir: dir.join("spool"),
+            max_jobs: 1,
+            patience: PATIENCE,
+            ..ServeConfig::default()
+        };
+        std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p: 3 }, &cfg))
+    };
+    let mut events = Vec::new();
+    let outcome = submit_job(&ep, &inst, &spec, PATIENCE, |ev| events.push(ev)).unwrap();
+    let stats = server.join().unwrap().unwrap();
+
+    assert_matches_solo(&outcome, &solo);
+    assert_stream_order(&events, spec.rounds as u64);
+    assert_eq!(stats.done, 1);
+    assert_eq!(
+        stats.slices, spec.rounds as u64,
+        "an ATS job must be sliced one round per turn: {stats:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

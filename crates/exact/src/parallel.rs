@@ -4,8 +4,8 @@
 //! `D = ⌊log₂ P⌋` variables of the branching order to the bits of the
 //! worker index) applied to the *exact* solver: the 2^D cells partition
 //! the B&B tree into disjoint subtrees, each proved by its own worker.
-//! Workers share one atomic incumbent, so a strong solution found in one
-//! cell immediately tightens the pruning in every other — the classic
+//! Workers share one incumbent, so a strong solution found in one cell
+//! immediately tightens the pruning in every other — the classic
 //! superlinear-speedup mechanism of parallel B&B (and, on one core, still a
 //! correct and tested execution path).
 
@@ -44,8 +44,10 @@ pub fn solve_parallel(inst: &Instance, cfg: &BbConfig, workers: usize) -> BbResu
     let order = surrogate.ratio_order(inst);
     let split = &order[..d.min(order.len())];
 
-    let best_value = AtomicI64::new(seed_incumbent.value());
-    let best_bits: Mutex<Option<BitVec>> = Mutex::new(None);
+    let incumbent = Incumbent {
+        best: Mutex::new((seed_incumbent.value(), None)),
+        hint: AtomicI64::new(seed_incumbent.value()),
+    };
     let total_nodes = AtomicU64::new(0);
     let truncated = AtomicBool::new(false);
 
@@ -53,8 +55,7 @@ pub fn solve_parallel(inst: &Instance, cfg: &BbConfig, workers: usize) -> BbResu
         for cell in 0..cells {
             let surrogate = &surrogate;
             let order = &order;
-            let best_value = &best_value;
-            let best_bits = &best_bits;
+            let incumbent = &incumbent;
             let total_nodes = &total_nodes;
             let truncated = &truncated;
             scope.spawn(move || {
@@ -83,8 +84,7 @@ pub fn solve_parallel(inst: &Instance, cfg: &BbConfig, workers: usize) -> BbResu
                     node_limit: cfg.node_limit / cells as u64,
                     nodes: 0,
                     truncated: false,
-                    best_value,
-                    best_bits,
+                    incumbent,
                 };
                 worker.dive(&mut partial, split.len(), s_remaining);
                 total_nodes.fetch_add(worker.nodes, Ordering::Relaxed);
@@ -95,15 +95,25 @@ pub fn solve_parallel(inst: &Instance, cfg: &BbConfig, workers: usize) -> BbResu
         }
     });
 
-    let bits = best_bits
+    let (value, bits) = incumbent
+        .best
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     let solution = match bits {
         Some(b) => Solution::from_bits(inst, b),
         None => seed_incumbent,
     };
-    debug_assert!(solution.is_feasible(inst));
-    debug_assert_eq!(solution.value(), best_value.load(Ordering::Relaxed));
+    // Hard checks: a release build must never hand back an infeasible or
+    // mismatched incumbent marked proven.
+    assert!(
+        solution.is_feasible(inst),
+        "parallel B&B incumbent infeasible"
+    );
+    assert_eq!(
+        solution.value(),
+        value,
+        "parallel B&B incumbent bits disagree with its value"
+    );
     BbResult {
         solution,
         proven: !truncated.load(Ordering::Relaxed),
@@ -111,6 +121,17 @@ pub fn solve_parallel(inst: &Instance, cfg: &BbConfig, workers: usize) -> BbResu
         root_lp,
         fixed_at_root: 0,
     }
+}
+
+/// The shared incumbent. Value and bits change together under one lock,
+/// so a slower thread can never pair a better value with worse bits. The
+/// atomic mirrors the locked value for lock-free pruning; it is written
+/// only under the lock and never runs ahead of it, so pruning on it is
+/// always sound.
+struct Incumbent {
+    /// `None` until a worker beats the greedy seed.
+    best: Mutex<(i64, Option<BitVec>)>,
+    hint: AtomicI64,
 }
 
 struct CellProver<'a> {
@@ -121,33 +142,23 @@ struct CellProver<'a> {
     node_limit: u64,
     nodes: u64,
     truncated: bool,
-    best_value: &'a AtomicI64,
-    best_bits: &'a Mutex<Option<BitVec>>,
+    incumbent: &'a Incumbent,
 }
 
 impl CellProver<'_> {
-    /// Publish an improvement atomically (value CAS + bits under the lock).
+    /// Publish an improvement: compare and replace value and bits together.
     fn publish(&self, partial: &Solution) {
         let value = partial.value();
-        let mut current = self.best_value.load(Ordering::Relaxed);
-        while value > current {
-            match self.best_value.compare_exchange(
-                current,
-                value,
-                Ordering::SeqCst,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    // The slot is replaced wholesale, never partially
-                    // written, so recovering a poisoned lock is safe.
-                    *self
-                        .best_bits
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner) = Some(partial.bits().clone());
-                    return;
-                }
-                Err(actual) => current = actual,
-            }
+        // The slot is replaced wholesale, never partially written, so
+        // recovering a poisoned lock is safe.
+        let mut best = self
+            .incumbent
+            .best
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if value > best.0 {
+            *best = (value, Some(partial.bits().clone()));
+            self.incumbent.hint.store(value, Ordering::Relaxed);
         }
     }
 
@@ -157,13 +168,13 @@ impl CellProver<'_> {
             self.truncated = true;
             return;
         }
-        if partial.value() > self.best_value.load(Ordering::Relaxed) {
+        if partial.value() > self.incumbent.hint.load(Ordering::Relaxed) {
             self.publish(partial);
         }
         if k == self.order.len() {
             return;
         }
-        let incumbent = self.best_value.load(Ordering::Relaxed);
+        let incumbent = self.incumbent.hint.load(Ordering::Relaxed);
         let bound = partial.value() as f64
             + self
                 .surrogate
@@ -204,6 +215,29 @@ mod tests {
                     seq.solution.value(),
                     "seed {seed} workers {workers}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn oversubscribed_runs_return_the_optimum_with_matching_bits() {
+        // More provers than cores maximizes preemption between a value
+        // comparison and the bits it belongs to — the window in which a
+        // split publish used to let a slower thread pair the best value
+        // with worse bits.
+        for seed in 0..12 {
+            let inst = uncorrelated_instance("race", 22, 3, 0.5, 100 + seed);
+            let optimum = solve(&inst, &BbConfig::default()).solution.value();
+            for rep in 0..10 {
+                for workers in [8usize, 16] {
+                    let par = solve_parallel(&inst, &BbConfig::default(), workers);
+                    let recomputed = Solution::from_bits(&inst, par.solution.bits().clone());
+                    let ctx = format!("seed {seed} rep {rep} workers {workers}");
+                    assert!(par.proven, "{ctx}");
+                    assert!(recomputed.is_feasible(&inst), "{ctx}");
+                    assert_eq!(recomputed.value(), par.solution.value(), "{ctx}");
+                    assert_eq!(par.solution.value(), optimum, "{ctx}");
+                }
             }
         }
     }

@@ -1,136 +1,17 @@
-//! Collective operations over the farm, in the spirit of `pvm_mcast` and
-//! the master-side gather loop every PVM master hand-rolled. Built purely
-//! on the [`Transport`] surface, so every backend — in-process mailboxes
-//! and sockets alike — gets them via the blanket impl.
+//! Collective operations over the farm, in the spirit of `pvm_mcast`.
+//! Built purely on the [`Transport`] surface, so every backend —
+//! in-process mailboxes and sockets alike — gets them via the blanket
+//! impl. The master's per-round gather lives in the engine, which filters
+//! reports by incarnation epoch as part of resurrecting lost workers.
 
 use crate::codec::Wire;
-use crate::farm::{CommError, Envelope, TaskId};
+use crate::farm::CommError;
 use crate::transport::Transport;
-use std::time::{Duration, Instant};
-
-/// Errors from gather-style collectives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CollectiveError {
-    /// Underlying transport failure.
-    Comm(CommError),
-    /// A message with an unexpected tag arrived mid-collective.
-    UnexpectedTag {
-        /// Tag that arrived.
-        got: u32,
-        /// Tag the collective expected.
-        expected: u32,
-    },
-    /// The same sender contributed twice before the collective completed.
-    DuplicateSender {
-        /// The offending task.
-        from: TaskId,
-    },
-    /// A contribution arrived from a task the collective did not expect
-    /// (and was not told to ignore).
-    UnknownSender {
-        /// The offending task.
-        from: TaskId,
-    },
-}
-
-impl std::fmt::Display for CollectiveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CollectiveError::Comm(e) => write!(f, "transport failure: {e}"),
-            CollectiveError::UnexpectedTag { got, expected } => {
-                write!(
-                    f,
-                    "unexpected tag {got} during collective (expected {expected})"
-                )
-            }
-            CollectiveError::DuplicateSender { from } => {
-                write!(f, "task {from} contributed twice")
-            }
-            CollectiveError::UnknownSender { from } => {
-                write!(f, "unexpected contribution from task {from}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CollectiveError {}
-
-impl From<CommError> for CollectiveError {
-    fn from(e: CommError) -> Self {
-        CollectiveError::Comm(e)
-    }
-}
-
-/// Outcome of a [`gather_partial`](Collectives::gather_partial): whichever
-/// contributions arrived before the deadline, plus the tasks that missed it.
-#[derive(Debug, Clone)]
-pub struct PartialGather {
-    /// One slot per requested sender, in request order; `None` for a
-    /// sender whose contribution never arrived.
-    pub slots: Vec<Option<Envelope>>,
-    /// Requested senders whose slots are empty, in request order.
-    pub missing: Vec<TaskId>,
-    /// Messages dropped because their sender was quarantined (listed in
-    /// `ignore`). Previously these vanished silently; exposing the count
-    /// lets callers keep a truthful `stale_ignored` telemetry counter.
-    pub ignored: usize,
-}
 
 /// Collective extensions on a task context.
 pub trait Collectives {
     /// Send `msg` to every other task (`pvm_mcast`).
     fn broadcast<T: Wire>(&self, tag: u32, msg: &T) -> Result<(), CommError>;
-
-    /// Receive exactly one message with `tag` from each task in `from`,
-    /// returned in the order of `from` regardless of arrival order.
-    fn gather(
-        &self,
-        tag: u32,
-        from: &[TaskId],
-        timeout: Duration,
-    ) -> Result<Vec<Envelope>, CollectiveError>;
-
-    /// Gather that tolerates absent peers: collect one `tag` message from
-    /// each task in `from` until all arrive or `timeout` elapses — the
-    /// deadline covers the whole gather, not each message — and report
-    /// whatever arrived. Messages from tasks in `ignore` are dropped
-    /// silently (stale contributions from quarantined peers); a message
-    /// from any other unexpected task is an [`UnknownSender`] error, a
-    /// wrong tag or duplicate is still an error.
-    ///
-    /// Quarantine is per-call, not per-farm: a sender ignored in one
-    /// gather is re-admitted simply by listing it in `from` again later,
-    /// which is how a resurrected worker rejoins after a respawn. Note
-    /// that slot identity is the task id only — this collective cannot
-    /// tell a reborn incarnation from a leftover message of the dead one.
-    /// Callers that respawn mid-run (the engine's supervised round loop)
-    /// must tag payloads with an epoch and filter themselves rather than
-    /// rely on `ignore`.
-    ///
-    /// [`UnknownSender`]: CollectiveError::UnknownSender
-    fn gather_partial(
-        &self,
-        tag: u32,
-        from: &[TaskId],
-        ignore: &[TaskId],
-        timeout: Duration,
-    ) -> Result<PartialGather, CollectiveError>;
-
-    /// Typed gather: decode each contribution.
-    fn gather_msgs<T: Wire>(
-        &self,
-        tag: u32,
-        from: &[TaskId],
-        timeout: Duration,
-    ) -> Result<Vec<T>, CollectiveError> {
-        self.gather(tag, from, timeout)?
-            .iter()
-            .map(|env| {
-                env.decode::<T>()
-                    .map_err(|_| CollectiveError::Comm(CommError::Disconnected))
-            })
-            .collect()
-    }
 }
 
 impl<C: Transport> Collectives for C {
@@ -143,85 +24,6 @@ impl<C: Transport> Collectives for C {
         }
         Ok(())
     }
-
-    fn gather(
-        &self,
-        tag: u32,
-        from: &[TaskId],
-        timeout: Duration,
-    ) -> Result<Vec<Envelope>, CollectiveError> {
-        let partial = self.gather_partial(tag, from, &[], timeout)?;
-        if !partial.missing.is_empty() {
-            return Err(CollectiveError::Comm(CommError::Timeout));
-        }
-        Ok(partial
-            .slots
-            .into_iter()
-            .map(|s| s.expect("no slot missing"))
-            .collect())
-    }
-
-    fn gather_partial(
-        &self,
-        tag: u32,
-        from: &[TaskId],
-        ignore: &[TaskId],
-        timeout: Duration,
-    ) -> Result<PartialGather, CollectiveError> {
-        // One deadline for the whole collective: slow peers don't get a
-        // fresh timeout per message. `checked_add` overflow (a huge
-        // timeout) means "no deadline".
-        let deadline = Instant::now().checked_add(timeout);
-        let mut slots: Vec<Option<Envelope>> = vec![None; from.len()];
-        let mut filled = 0usize;
-        let mut ignored = 0usize;
-        while filled < from.len() {
-            let remaining = match deadline {
-                None => Duration::MAX,
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    deadline - now
-                }
-            };
-            let env = match self.recv_timeout(remaining) {
-                Ok(env) => env,
-                Err(CommError::Timeout) | Err(CommError::Disconnected) => break,
-                Err(e) => return Err(CollectiveError::Comm(e)),
-            };
-            if ignore.contains(&env.from) {
-                ignored += 1; // stale contribution from a quarantined peer
-                continue;
-            }
-            if env.tag != tag {
-                return Err(CollectiveError::UnexpectedTag {
-                    got: env.tag,
-                    expected: tag,
-                });
-            }
-            let Some(slot) = from.iter().position(|&f| f == env.from) else {
-                return Err(CollectiveError::UnknownSender { from: env.from });
-            };
-            if slots[slot].is_some() {
-                return Err(CollectiveError::DuplicateSender { from: env.from });
-            }
-            slots[slot] = Some(env);
-            filled += 1;
-        }
-        let missing = from
-            .iter()
-            .zip(&slots)
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(&tid, _)| tid)
-            .collect();
-        Ok(PartialGather {
-            slots,
-            missing,
-            ignored,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -229,6 +31,7 @@ mod tests {
     use super::*;
     use crate::codec::{CodecError, PackBuffer, UnpackBuffer};
     use crate::farm::run_farm;
+    use std::time::Duration;
 
     const T: Duration = Duration::from_secs(5);
 
@@ -255,152 +58,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(r, vec![0, 99, 99, 99]);
-    }
-
-    #[test]
-    fn gather_orders_by_requested_senders() {
-        let r = run_farm(4, |ctx| {
-            if ctx.tid() == 0 {
-                // Request in reverse order; results must follow it.
-                let senders = [3, 2, 1];
-                let msgs: Vec<Num> = ctx.gather_msgs(7, &senders, T).unwrap();
-                msgs.iter().map(|n| n.0).collect::<Vec<_>>()
-            } else {
-                ctx.send(0, 7, &Num(ctx.tid() as i64 * 10)).unwrap();
-                vec![]
-            }
-        })
-        .unwrap();
-        assert_eq!(r[0], vec![30, 20, 10]);
-    }
-
-    #[test]
-    fn gather_detects_wrong_tag() {
-        let r = run_farm(2, |ctx| {
-            if ctx.tid() == 0 {
-                matches!(
-                    ctx.gather(7, &[1], T),
-                    Err(CollectiveError::UnexpectedTag {
-                        got: 9,
-                        expected: 7
-                    })
-                )
-            } else {
-                ctx.send(0, 9, &Num(1)).unwrap();
-                true
-            }
-        })
-        .unwrap();
-        assert!(r[0]);
-    }
-
-    #[test]
-    fn gather_detects_unknown_sender() {
-        let r = run_farm(3, |ctx| {
-            if ctx.tid() == 0 {
-                // Expect from task 1 only, but task 2 answers first or
-                // second — either way a contribution from 2 is an error.
-                let out = ctx.gather(7, &[1], T);
-                matches!(out, Err(CollectiveError::UnknownSender { from: 2 })) || out.is_ok()
-            } else if ctx.tid() == 2 {
-                ctx.send(0, 7, &Num(2)).unwrap();
-                true
-            } else {
-                true // task 1 stays silent
-            }
-        })
-        .unwrap();
-        assert!(r[0]);
-    }
-
-    #[test]
-    fn gather_times_out_on_silent_peer() {
-        let r = run_farm(2, |ctx| {
-            if ctx.tid() == 0 {
-                matches!(
-                    ctx.gather(7, &[1], Duration::from_millis(50)),
-                    Err(CollectiveError::Comm(
-                        CommError::Timeout | CommError::Disconnected
-                    ))
-                )
-            } else {
-                true
-            }
-        })
-        .unwrap();
-        assert!(r[0]);
-    }
-
-    #[test]
-    fn gather_partial_reports_missing_peer() {
-        let r = run_farm(3, |ctx| {
-            if ctx.tid() == 0 {
-                let out = ctx
-                    .gather_partial(7, &[1, 2], &[], Duration::from_millis(100))
-                    .unwrap();
-                assert_eq!(out.ignored, 0, "nothing was quarantined");
-                let got: Vec<_> = out
-                    .slots
-                    .iter()
-                    .flatten()
-                    .map(|env| env.decode::<Num>().unwrap().0)
-                    .collect();
-                (got, out.missing)
-            } else if ctx.tid() == 1 {
-                ctx.send(0, 7, &Num(10)).unwrap();
-                (vec![], vec![])
-            } else {
-                (vec![], vec![]) // task 2 stays silent
-            }
-        })
-        .unwrap();
-        assert_eq!(r[0], (vec![10], vec![2]));
-    }
-
-    #[test]
-    fn gather_partial_ignores_quarantined_peer() {
-        let r = run_farm(3, |ctx| {
-            if ctx.tid() == 0 {
-                // Task 2 is quarantined: its stale message must neither
-                // fill a slot nor trip the unknown-sender check — but it
-                // must be counted, not silently dropped. Task 2 sends
-                // before task 1 (enforced by the go-message below), so the
-                // stale message is guaranteed to be dequeued mid-gather.
-                let out = ctx.gather_partial(7, &[1], &[2], T).unwrap();
-                assert!(out.missing.is_empty());
-                assert_eq!(out.ignored, 1, "quarantined message not counted");
-                out.slots[0].as_ref().unwrap().decode::<Num>().unwrap().0
-            } else if ctx.tid() == 2 {
-                ctx.send(0, 7, &Num(2)).unwrap();
-                ctx.send(1, 9, &Num(0)).unwrap(); // go: the master's mailbox holds our message
-                0
-            } else {
-                ctx.recv_timeout(T).unwrap(); // wait for task 2's go
-                ctx.send(0, 7, &Num(1)).unwrap();
-                0
-            }
-        })
-        .unwrap();
-        assert_eq!(r[0], 1);
-    }
-
-    #[test]
-    fn round_trip_scatter_gather() {
-        // Master scatters work items, slaves square them, master gathers.
-        let r = run_farm(4, |ctx| {
-            if ctx.tid() == 0 {
-                for s in 1..4 {
-                    ctx.send(s, 1, &Num(s as i64)).unwrap();
-                }
-                let sq: Vec<Num> = ctx.gather_msgs(2, &[1, 2, 3], T).unwrap();
-                sq.iter().map(|n| n.0).sum::<i64>()
-            } else {
-                let n = ctx.recv_timeout(T).unwrap().decode::<Num>().unwrap().0;
-                ctx.send(0, 2, &Num(n * n)).unwrap();
-                0
-            }
-        })
-        .unwrap();
-        assert_eq!(r[0], 1 + 4 + 9);
     }
 }

@@ -84,18 +84,18 @@ for mode in seq its cts1 cts2 ats dts; do
 done
 
 step "policy smoke (core and repair, incl. a healed mid-run kill)"
-# The two promising-search-space policies behind --policy: a plain run of
-# each must print a result and exit 0, and a CORE run that loses a worker
+# The two promising-search-space policies (--mode core|repair): a plain run
+# of each must print a result and exit 0, and a CORE run that loses a worker
 # to a kill fault must heal through the restart budget — survivors finish,
 # zero losses, exit 0.
 for policy in core repair; do
   cargo run --release --offline --locked -p mkp-cli -- \
-    solve "$tmp_mkp" --policy "$policy" --p 2 --rounds 2 --budget 40000 --seed 1 \
+    solve "$tmp_mkp" --mode "$policy" --p 2 --rounds 2 --budget 40000 --seed 1 \
     | grep -q '^best value' \
     || { echo "error: policy $policy smoke failed" >&2; exit 1; }
 done
 out="$(cargo run --release --offline --locked -p mkp-cli -- \
-  solve "$tmp_mkp" --policy core --p 4 --rounds 3 --budget 60000 --seed 1 \
+  solve "$tmp_mkp" --mode core --p 4 --rounds 3 --budget 60000 --seed 1 \
   --timeout 2 --fault kill@1:1 --restarts 2 --backoff 10 2>&1)" \
   || { echo "error: policy fault smoke exited non-zero" >&2; echo "$out" >&2; exit 1; }
 echo "$out" | grep -q '^resurrections: ' \
@@ -132,9 +132,9 @@ cargo run --release --offline --locked -p mkp-bench --bin telemetry_overhead -- 
 test -s results/telemetry-overhead-smoke.json
 
 step "fault-injection smoke (degraded runs finish and exit 2)"
-# One mode per delivery kind: cts2 gathers synchronously, ats is
-# pipelined. Killing worker 1 mid-run must leave a finished, degraded
-# run: result printed, losses listed, exit code 2.
+# cts2 and ats share one round loop; both labels are driven so a future
+# divergence between them shows up here. Killing worker 1 mid-run must
+# leave a finished, degraded run: result printed, losses listed, exit 2.
 for mode in cts2 ats; do
   set +e
   out="$(cargo run --release --offline --locked -p mkp-cli -- \
@@ -175,29 +175,33 @@ step "checkpoint/resume smoke (resume outlives a post-checkpoint kill)"
 # Reference run, uninterrupted. Then the same run checkpointed at round 2
 # and killed at round 2 — after the snapshot is on disk — so the original
 # degrades (exit 2) while the file still holds the healthy state. Resuming
-# it must reproduce the reference objective exactly.
+# it must reproduce the reference bit for bit: value, item set and work
+# totals (the wall time is stripped).
+result_of() { sed -E -e '/^(best value|items|work)/!d' -e 's/ in [^ ]+$//'; }
 tmp_snap="$(tmpfile /tmp/ci-snap-XXXXXX)"
-full="$(cargo run --release --offline --locked -p mkp-cli -- \
-  solve "$tmp_mkp" --mode cts2 --p 4 --rounds 4 --budget 60000 --seed 1 \
-  | grep '^best value')"
-set +e
-cargo run --release --offline --locked -p mkp-cli -- \
-  solve "$tmp_mkp" --mode cts2 --p 4 --rounds 4 --budget 60000 --seed 1 \
-  --timeout 2 --fault kill@1:2 \
-  --checkpoint "$tmp_snap" --checkpoint-every 2 > /dev/null 2>&1
-status=$?
-set -e
-if [ "$status" -ne 2 ]; then
-  echo "error: checkpointed faulty run exited $status (want 2)" >&2
-  exit 1
-fi
-resumed="$(cargo run --release --offline --locked -p mkp-cli -- \
-  solve "$tmp_mkp" --mode cts2 --p 4 --rounds 4 --budget 60000 --seed 1 \
-  --resume "$tmp_snap" | grep '^best value')"
-if [ "$full" != "$resumed" ]; then
-  echo "error: resume diverged: full='$full' resumed='$resumed'" >&2
-  exit 1
-fi
+for mode in cts2 ats; do
+  full="$(cargo run --release --offline --locked -p mkp-cli -- \
+    solve "$tmp_mkp" --mode "$mode" --p 4 --rounds 4 --budget 60000 --seed 1 \
+    | result_of)"
+  set +e
+  cargo run --release --offline --locked -p mkp-cli -- \
+    solve "$tmp_mkp" --mode "$mode" --p 4 --rounds 4 --budget 60000 --seed 1 \
+    --timeout 2 --fault kill@1:2 \
+    --checkpoint "$tmp_snap" --checkpoint-every 2 > /dev/null 2>&1
+  status=$?
+  set -e
+  if [ "$status" -ne 2 ]; then
+    echo "error: mode $mode checkpointed faulty run exited $status (want 2)" >&2
+    exit 1
+  fi
+  resumed="$(cargo run --release --offline --locked -p mkp-cli -- \
+    solve "$tmp_mkp" --mode "$mode" --p 4 --rounds 4 --budget 60000 --seed 1 \
+    --resume "$tmp_snap" | result_of)"
+  if [ -z "$full" ] || [ "$full" != "$resumed" ]; then
+    echo "error: mode $mode resume diverged: full='$full' resumed='$resumed'" >&2
+    exit 1
+  fi
+done
 
 step "distributed smoke (two slave processes, one killed mid-run)"
 # Real process boundaries over a Unix socket: a master with --listen, two

@@ -47,9 +47,9 @@ pub mod prelude {
         ServeBackend, ServeConfig, ServeStats, SubmitEvent, SubmitOutcome, SubmitSpec,
     };
     pub use parallel_tabu::{
-        fault_at_round, run_mode, CheckpointCfg, CoopPolicy, Delivery, Engine, EngineError,
-        FaultAction, FaultPlan, IspConfig, LossCause, Mode, ModeReport, Resurrection, RunConfig,
-        SgpConfig, Snapshot, SnapshotError, WorkerLoss,
+        fault_at_round, run_mode, CheckpointCfg, CoopPolicy, Engine, EngineError, FaultAction,
+        FaultPlan, IspConfig, LossCause, Mode, ModeReport, Resurrection, RunConfig, SgpConfig,
+        Snapshot, SnapshotError, WorkerLoss,
     };
     pub use parallel_tabu::{
         parse_metrics_json, validate_metrics_json, Counter, EventKind, SpanKind, Telemetry,

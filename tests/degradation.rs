@@ -122,8 +122,8 @@ fn losing_the_only_worker_is_an_error() {
 fn straggler_exceeding_the_deadline_is_quarantined() {
     let inst = small_instance();
     // The delay (4s) dwarfs the report deadline (1.5s): the master must
-    // give up on the straggler, not wait it out. Sync and pipelined
-    // delivery take different quarantine paths; check both.
+    // give up on the straggler, not wait it out. ATS runs CTS2's round
+    // loop; it is checked too so the two labels keep one quarantine path.
     for mode in [Mode::CooperativeAdaptive, Mode::Asynchronous] {
         let mut engine = Engine::new(4);
         engine.inject_fault(fault_at_round(

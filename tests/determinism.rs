@@ -7,9 +7,8 @@ use pts_mkp::prelude::*;
 #[test]
 fn every_mode_has_deterministic_best_value() {
     // Regression gate for the engine refactor: same seed + same RunConfig
-    // must give the identical best value for all six modes — including ATS
-    // (pipelined delivery processes reports in a fixed logical order) and
-    // DTS (disjoint cells, deterministic reduction).
+    // must give the identical best value in every mode — including DTS
+    // (disjoint cells, deterministic reduction).
     let inst = gk_instance(
         "det6",
         GkSpec {

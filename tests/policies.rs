@@ -8,9 +8,8 @@
 //!    in-process pool exactly.
 //! 3. **Fault tolerance** — a mid-run worker kill with a restart budget
 //!    heals with zero losses, and healing itself is deterministic.
-//! 4. **Resume** — for the checkpointable (multi-round synchronous)
-//!    policies, interrupt-then-resume is bit-identical to the
-//!    uninterrupted run.
+//! 4. **Resume** — for the checkpointable (multi-round) policies,
+//!    interrupt-then-resume is bit-identical to the uninterrupted run.
 //!
 //! The battery iterates `Mode::all()`, so a future ninth policy is
 //! conscripted automatically — and the count assertion below makes sure
@@ -42,12 +41,15 @@ fn battery_cfg(seed: u64) -> RunConfig {
 }
 
 /// The policies whose runs can be checkpointed and resumed: more than one
-/// round (there is a mid-run state to save) and synchronous delivery (the
-/// round barrier is the snapshot point).
+/// round, so there is a mid-run state to save at a round boundary.
 fn resumable(mode: Mode) -> bool {
     matches!(
         mode,
-        Mode::Cooperative | Mode::CooperativeAdaptive | Mode::Core | Mode::Repair
+        Mode::Cooperative
+            | Mode::CooperativeAdaptive
+            | Mode::Asynchronous
+            | Mode::Core
+            | Mode::Repair
     )
 }
 
@@ -112,6 +114,27 @@ fn every_policy_is_deterministic_down_to_the_metrics() {
             "{mode:?} metrics diverged"
         );
     }
+}
+
+#[test]
+fn ats_reproduces_cts2_bit_for_bit() {
+    // ATS carries the label of the paper's unimplemented §6 scheme but runs
+    // CTS2's policy on the same round loop: only the mode stamp differs.
+    let inst = battery_instance();
+    let cfg = battery_cfg(79);
+    let cts2 = run_mode(&inst, Mode::CooperativeAdaptive, &cfg);
+    let ats = run_mode(&inst, Mode::Asynchronous, &cfg);
+    assert_eq!(ats.mode, Mode::Asynchronous);
+    assert_eq!(ats.best.bits(), cts2.best.bits());
+    assert_eq!(ats.round_best, cts2.round_best);
+    assert_eq!(
+        (ats.total_moves, ats.total_evals, ats.regenerations),
+        (cts2.total_moves, cts2.total_evals, cts2.regenerations)
+    );
+    assert_eq!(
+        ats.telemetry.to_metrics_json(),
+        cts2.telemetry.to_metrics_json()
+    );
 }
 
 #[test]

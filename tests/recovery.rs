@@ -47,8 +47,8 @@ fn snap_path(name: &str) -> std::path::PathBuf {
 #[test]
 fn killed_slave_is_resurrected_with_zero_losses() {
     // The tentpole acceptance test: a mid-run kill with restarts enabled
-    // ends with no quarantined workers and a recorded resurrection, in
-    // both delivery schemes.
+    // ends with no quarantined workers and a recorded resurrection, under
+    // both the CTS2 and the ATS label.
     let inst = small_instance();
     for mode in [Mode::CooperativeAdaptive, Mode::Asynchronous] {
         let mut engine = Engine::new(4);

@@ -3,8 +3,7 @@
 //!
 //! 1. Deterministic runs yield deterministic counters — the `--metrics`
 //!    JSON of two identically seeded runs is byte-identical, in every
-//!    mode and both delivery schemes, and the counters agree with the
-//!    engine's own aggregates.
+//!    mode, and the counters agree with the engine's own aggregates.
 //! 2. Span timings nest sanely: the master's Round span contains its
 //!    Gather and Assign phases; slaves record one TS inner-loop span per
 //!    served assignment.
@@ -117,55 +116,31 @@ fn synchronous_round_span_contains_gather_and_assign() {
     let inst = instance();
     let run_cfg = cfg(17);
     let mut engine = Engine::new(3);
-    let r = engine.run(&inst, Mode::Cooperative, &run_cfg).unwrap();
-    let t = &r.telemetry;
-    let round = t.span(0, SpanKind::Round).expect("rounds ran");
-    let gather = t.span(0, SpanKind::Gather).expect("gathers ran");
-    let assign = t.span(0, SpanKind::Assign).expect("assigns ran");
-    assert_eq!(round.count as usize, run_cfg.rounds);
-    assert_eq!(gather.count as usize, run_cfg.rounds);
-    assert_eq!(assign.count as usize, run_cfg.rounds);
-    // Gather and Assign happen strictly inside a Round span, so their
-    // total time cannot exceed the rounds' total.
-    assert!(
-        round.total_ns >= gather.total_ns + assign.total_ns,
-        "round {} < gather {} + assign {}",
-        round.total_ns,
-        gather.total_ns,
-        assign.total_ns
-    );
-    // Each slave timed one TS inner loop per served assignment.
-    for task in 1..=run_cfg.p {
-        let ts = t.span(task, SpanKind::TsInner).expect("slave spans");
-        assert_eq!(ts.count as usize, run_cfg.rounds, "task {task}");
-        assert!(ts.max_ns >= ts.p95_ns && ts.p95_ns >= ts.p50_ns);
+    for mode in [Mode::Cooperative, Mode::Asynchronous] {
+        let r = engine.run(&inst, mode, &run_cfg).unwrap();
+        let t = &r.telemetry;
+        let round = t.span(0, SpanKind::Round).expect("rounds ran");
+        let gather = t.span(0, SpanKind::Gather).expect("gathers ran");
+        let assign = t.span(0, SpanKind::Assign).expect("assigns ran");
+        assert_eq!(round.count as usize, run_cfg.rounds, "{mode:?}");
+        assert_eq!(gather.count as usize, run_cfg.rounds, "{mode:?}");
+        assert_eq!(assign.count as usize, run_cfg.rounds, "{mode:?}");
+        // Gather and Assign happen strictly inside a Round span, so their
+        // total time cannot exceed the rounds' total.
+        assert!(
+            round.total_ns >= gather.total_ns + assign.total_ns,
+            "{mode:?}: round {} < gather {} + assign {}",
+            round.total_ns,
+            gather.total_ns,
+            assign.total_ns
+        );
+        // Each slave timed one TS inner loop per served assignment.
+        for task in 1..=run_cfg.p {
+            let ts = t.span(task, SpanKind::TsInner).expect("slave spans");
+            assert_eq!(ts.count as usize, run_cfg.rounds, "{mode:?} task {task}");
+            assert!(ts.max_ns >= ts.p95_ns && ts.p95_ns >= ts.p50_ns);
+        }
     }
-}
-
-#[test]
-fn pipelined_round_span_contains_gather_and_assign() {
-    let inst = instance();
-    let run_cfg = cfg(19);
-    let mut engine = Engine::new(3);
-    let r = engine.run(&inst, Mode::Asynchronous, &run_cfg).unwrap();
-    let t = &r.telemetry;
-    let round = t.span(0, SpanKind::Round).expect("pipeline ran");
-    let gather = t.span(0, SpanKind::Gather).expect("waits ran");
-    let assign = t.span(0, SpanKind::Assign).expect("sends ran");
-    // The rendezvous-free pipeline is one long round.
-    assert_eq!(round.count, 1);
-    assert_eq!(
-        assign.count as usize,
-        run_cfg.p * run_cfg.rounds,
-        "one assignment send per worker per logical round"
-    );
-    assert!(
-        round.total_ns >= gather.total_ns + assign.total_ns,
-        "round {} < gather {} + assign {}",
-        round.total_ns,
-        gather.total_ns,
-        assign.total_ns
-    );
 }
 
 #[test]
